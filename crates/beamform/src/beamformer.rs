@@ -191,10 +191,14 @@ impl Beamformer {
         }
     }
 
-    /// Quantises one host matrix to the operand precision of this
-    /// beamformer.
-    fn quantise(&self, host: &HostComplexMatrix) -> GemmInput {
-        Self::quantise_for(self.config.precision, host)
+    /// Quantises one `K × N` sample block into the transposed `N × K`
+    /// operand ccglib consumes (one row per output sample); f16 blocks are
+    /// transposed and quantised in a single pass.
+    fn quantise_block(&self, samples: &HostComplexMatrix) -> GemmInput {
+        match self.config.precision {
+            Precision::Int1 => GemmInput::quantise_int1(&samples.transposed()),
+            _ => GemmInput::quantise_f16_transposed(samples),
+        }
     }
 
     /// Checks one `K × N` sample block against the planned shape.
@@ -249,9 +253,8 @@ impl Beamformer {
             });
         }
         self.validate_block(samples)?;
-        // ccglib consumes B transposed: N×K, one row per output sample; the
-        // weights operand is the cached prepared (pre-decoded) one.
-        let b = self.quantise(&samples.transposed());
+        // The weights operand is the cached prepared (pre-decoded) one.
+        let b = self.quantise_block(samples);
         let (beams, report) = self.gemm.run_prepared(&self.prepared_weights, &b)?;
         Ok(BeamformOutput { beams, report })
     }
@@ -275,7 +278,7 @@ impl Beamformer {
         }
         let b_ts: Vec<GemmInput> = blocks
             .iter()
-            .map(|block| self.quantise(&block.transposed()))
+            .map(|block| self.quantise_block(block))
             .collect();
         let (beams, report) = self
             .gemm

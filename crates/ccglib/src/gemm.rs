@@ -52,6 +52,13 @@ impl GemmInput {
         GemmInput::F16(F16Matrix::from_host(host))
     }
 
+    /// Quantises the transpose of a host matrix to binary16 planes in one
+    /// pass — the `K×N` → `N×K` prepare of a sample block, bit-identical to
+    /// `quantise_f16(&host.transposed())`.
+    pub fn quantise_f16_transposed(host: &HostComplexMatrix) -> Self {
+        GemmInput::F16(F16Matrix::from_host_transposed(host))
+    }
+
     /// Builds a binary16 operand from interleaved single-precision data
     /// (the layout applications naturally produce); the split into planes
     /// is what the paper's transpose kernel does.

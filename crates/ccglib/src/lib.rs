@@ -26,7 +26,7 @@
 //!     tcbf_types::Complex::new(0.25, (r as f32 - c as f32) * 0.01)
 //! });
 //! let (c, report) = gemm
-//!     .run(&GemmInput::quantise_f16(&a), &GemmInput::quantise_f16(&b.transposed()))
+//!     .run(&GemmInput::quantise_f16(&a), &GemmInput::quantise_f16_transposed(&b))
 //!     .unwrap();
 //! assert_eq!(c.rows(), 64);
 //! assert_eq!(c.cols(), 32);

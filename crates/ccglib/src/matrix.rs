@@ -17,7 +17,7 @@
 use crate::error::{CcglibError, Result};
 use serde::{Deserialize, Serialize};
 use tcbf_types::matrix::round_up;
-use tcbf_types::{f16, Complex, Complex32, PackedBits};
+use tcbf_types::{encode_to_f16, f16, Complex, Complex32, PackedBits};
 
 /// A host-side complex matrix in row-major order.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -122,30 +122,39 @@ pub struct F16Matrix {
 impl F16Matrix {
     /// Quantises a host matrix to binary16, splitting it into planes.
     pub fn from_host(host: &HostComplexMatrix) -> Self {
-        let n = host.rows() * host.cols();
-        let mut re = Vec::with_capacity(n);
-        let mut im = Vec::with_capacity(n);
-        for v in host.data() {
-            re.push(f16::from_f32(v.re));
-            im.push(f16::from_f32(v.im));
-        }
-        F16Matrix {
-            rows: host.rows(),
-            cols: host.cols(),
-            re,
-            im,
-        }
+        Self::encode(host.rows(), host.cols(), host.data().iter().copied())
     }
 
-    /// Builds a matrix directly from planes (used by the transpose kernel).
-    pub fn from_planes(rows: usize, cols: usize, re: Vec<f16>, im: Vec<f16>) -> Result<Self> {
-        if re.len() != rows * cols || im.len() != rows * cols {
-            return Err(CcglibError::ShapeMismatch {
-                expected: format!("{} scalars per plane", rows * cols),
-                actual: format!("re={}, im={}", re.len(), im.len()),
-            });
+    /// Quantises the transpose of a host matrix in one pass: a `K×N` sample
+    /// block becomes the `N×K` operand the kernels consume, bit-identical
+    /// to `F16Matrix::from_host(&host.transposed())` but without building
+    /// the transposed host matrix.
+    pub fn from_host_transposed(host: &HostComplexMatrix) -> Self {
+        let (rows, cols) = (host.cols(), host.rows());
+        let mut re = vec![f16::ZERO; rows * cols];
+        let mut im = vec![f16::ZERO; rows * cols];
+        // Output row `r` is input column `r`: a stride-`rows` walk.
+        for (r, (re_row, im_row)) in re
+            .chunks_mut(cols.max(1))
+            .zip(im.chunks_mut(cols.max(1)))
+            .enumerate()
+        {
+            let column = host.data()[r..].iter().step_by(rows).copied();
+            encode_to_f16(column, re_row, im_row);
         }
-        Ok(F16Matrix { rows, cols, re, im })
+        F16Matrix { rows, cols, re, im }
+    }
+
+    /// Quantises `rows × cols` values, given in row-major order.
+    pub(crate) fn encode(
+        rows: usize,
+        cols: usize,
+        values: impl IntoIterator<Item = Complex32>,
+    ) -> Self {
+        let mut re = vec![f16::ZERO; rows * cols];
+        let mut im = vec![f16::ZERO; rows * cols];
+        encode_to_f16(values, &mut re, &mut im);
+        F16Matrix { rows, cols, re, im }
     }
 
     /// Number of rows.
@@ -394,6 +403,44 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b), 1.0);
     }
 
+    /// A matrix of ordinary, binary16-subnormal, overflowing, infinite and
+    /// NaN entries, plus arbitrary bit patterns.
+    fn special_matrix(rows: usize, cols: usize, seed: u64) -> HostComplexMatrix {
+        let mut state = seed | 1;
+        let mut value = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let bits = (state >> 32) as u32;
+            match bits % 8 {
+                0 => f32::from_bits(0x7F80_0000 | (bits >> 9).max(1)),
+                1 => f32::INFINITY.copysign(bits as i32 as f32),
+                2 => (bits >> 3) as f32 * 2.0f32.powi(-43),
+                3 => 65_000.0 + (bits >> 20) as f32,
+                4 => f32::from_bits(bits),
+                _ => (bits >> 8) as f32 / 65_536.0 - 128.0,
+            }
+        };
+        HostComplexMatrix::from_fn(rows, cols, |_, _| Complex::new(value(), value()))
+    }
+
+    fn assert_one_pass_matches_two_pass(host: &HostComplexMatrix) {
+        let one_pass = F16Matrix::from_host_transposed(host);
+        let two_pass = F16Matrix::from_host(&host.transposed());
+        let bits = |plane: &[f16]| plane.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            (one_pass.rows(), one_pass.cols()),
+            (host.cols(), host.rows())
+        );
+        assert_eq!(bits(one_pass.re()), bits(two_pass.re()));
+        assert_eq!(bits(one_pass.im()), bits(two_pass.im()));
+    }
+
+    #[test]
+    fn one_pass_transposing_quantise_handles_degenerate_shapes() {
+        for (rows, cols) in [(1, 1), (1, 9), (9, 1), (0, 4), (4, 0), (0, 0)] {
+            assert_one_pass_matches_two_pass(&special_matrix(rows, cols, 7));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -408,6 +455,14 @@ mod tests {
             let once = Int1Matrix::from_host(&host).to_host();
             let twice = Int1Matrix::from_host(&once).to_host();
             prop_assert_eq!(once, twice);
+        }
+
+        #[test]
+        fn one_pass_transposing_quantise_is_bit_identical(
+            rows in 1usize..12, cols in 1usize..12, seed in any::<u64>(),
+        ) {
+            let host = special_matrix(rows, cols, seed);
+            assert_one_pass_matches_two_pass(&host);
         }
 
         #[test]

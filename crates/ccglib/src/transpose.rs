@@ -10,14 +10,16 @@
 //!   work in the paper and available here through
 //!   [`crate::gemm::GemmInput::quantise_f16_interleaved`]);
 //! * transposing the `B` operand from the natural `K×N` orientation into
-//!   the `N×K` bit-row orientation the packed 1-bit kernel consumes.
+//!   the `N×K` bit-row orientation the packed 1-bit kernel consumes (for
+//!   binary16, [`crate::gemm::GemmInput::quantise_f16_transposed`] fuses
+//!   the transpose with the quantise).
 //!
 //! Both are pure data movement and therefore memory-bandwidth bound, like
 //! the packing kernel.
 
 use crate::matrix::{F16Matrix, HostComplexMatrix};
 use gpu_sim::{DeviceSpec, KernelKind, KernelProfile, LaunchConfig};
-use tcbf_types::{f16, Complex32};
+use tcbf_types::Complex32;
 
 /// Splits an interleaved complex buffer (row-major `rows × cols`, `re, im`
 /// pairs) into a planar binary16 device matrix — the "transpose" the paper
@@ -28,13 +30,8 @@ pub fn interleaved_to_planar(rows: usize, cols: usize, interleaved: &[f32]) -> F
         rows * cols * 2,
         "interleaved buffer has wrong length"
     );
-    let mut re = Vec::with_capacity(rows * cols);
-    let mut im = Vec::with_capacity(rows * cols);
-    for e in 0..rows * cols {
-        re.push(f16::from_f32(interleaved[2 * e]));
-        im.push(f16::from_f32(interleaved[2 * e + 1]));
-    }
-    F16Matrix::from_planes(rows, cols, re, im).expect("plane lengths are consistent")
+    let pairs = interleaved.chunks_exact(2);
+    F16Matrix::encode(rows, cols, pairs.map(|p| Complex32::new(p[0], p[1])))
 }
 
 /// Merges a planar matrix back into an interleaved single-precision buffer.

@@ -14,6 +14,7 @@
 //! layout of binary32 and the 5-bit/10-bit layout of binary16, handling
 //! subnormals, infinities and NaN explicitly.
 
+use crate::Complex32;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
@@ -76,67 +77,47 @@ impl f16 {
     /// Converts a single-precision value to half precision with
     /// round-to-nearest-even, the rounding mode used by GPU conversion
     /// instructions (`cvt.rn.f16.f32`).
+    ///
+    /// Only the magnitude class branches (normal, subnormal, overflow or
+    /// NaN), which is predictable on sampled signals; the rounding itself
+    /// is branch-free.  Magnitudes from `65520` up overflow to infinity.  A
+    /// NaN stays a NaN of the same sign with the quiet bit (`0x0200`) set
+    /// and the top 10 bits of its binary32 payload kept.
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
+        // Bit patterns of |x| at the class boundaries: 2^16, the first
+        // magnitude whose exponent binary16 cannot hold, and 2^-14, the
+        // smallest binary16 normal.
+        const F32_OVERFLOW: u32 = (127 + 16) << 23;
+        const F32_MIN_NORMAL: u32 = (127 - 14) << 23;
+        const F32_INFINITY: u32 = 0x7F80_0000;
+        // 0.5: its ulp, 2^-24, is the binary16 subnormal spacing.
+        const SUBNORMAL_MAGIC: f32 = 0.5;
+
         let bits = value.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> 23) & 0xFF) as i32;
-        let man = bits & 0x007F_FFFF;
-
-        if exp == 0xFF {
-            // Infinity or NaN.
-            return if man == 0 {
-                f16(sign | F16_EXP_MASK)
+        let abs = bits & 0x7FFF_FFFF;
+        let magnitude = if abs >= F32_OVERFLOW {
+            if abs > F32_INFINITY {
+                F16_EXP_MASK | 0x0200 | ((abs >> 13) as u16 & F16_MAN_MASK)
             } else {
-                // Preserve a quiet NaN, keep some payload bits.
-                f16(sign | F16_EXP_MASK | 0x0200 | ((man >> 13) as u16 & F16_MAN_MASK))
-            };
-        }
-
-        // Re-bias the exponent: binary32 bias 127, binary16 bias 15.
-        let unbiased = exp - 127;
-        let new_exp = unbiased + 15;
-
-        if new_exp >= 0x1F {
-            // Overflow to infinity.
-            return f16(sign | F16_EXP_MASK);
-        }
-
-        if new_exp <= 0 {
-            // Subnormal or underflow to zero.
-            if new_exp < -10 {
-                return f16(sign);
+                F16_EXP_MASK
             }
-            // Add the implicit leading one and shift into the subnormal range.
-            // value = M · 2^(unbiased − 23); the half subnormal mantissa is
-            // value · 2^24 = M >> (−unbiased − 1).
-            let man = man | 0x0080_0000;
-            let shift = (-unbiased - 1) as u32;
-            let half_val = man >> shift;
-            // Round to nearest even on the bits shifted out.
-            let round_bit = 1u32 << (shift - 1);
-            let rem = man & (round_bit * 2 - 1);
-            let mut result = half_val as u16;
-            if rem > round_bit || (rem == round_bit && (half_val & 1) == 1) {
-                result += 1;
-            }
-            return f16(sign | result);
-        }
-
-        // Normal case.
-        let mut out_exp = new_exp as u16;
-        let mut out_man = (man >> 13) as u16;
-        let rem = man & 0x1FFF;
-        if rem > 0x1000 || (rem == 0x1000 && (out_man & 1) == 1) {
-            out_man += 1;
-            if out_man == 0x0400 {
-                out_man = 0;
-                out_exp += 1;
-                if out_exp >= 0x1F {
-                    return f16(sign | F16_EXP_MASK);
-                }
-            }
-        }
-        f16(sign | (out_exp << 10) | out_man)
+        } else if abs < F32_MIN_NORMAL {
+            // The float add rounds |x| to a multiple of 2^-24 (ties to
+            // even); the low bits of the sum are the subnormal mantissa,
+            // or 0x0400 = 2^-14 when it rounds up into the normal range.
+            ((f32::from_bits(abs) + SUBNORMAL_MAGIC).to_bits() - SUBNORMAL_MAGIC.to_bits()) as u16
+        } else {
+            // Re-bias the exponent (binary32 bias 127, binary16 bias 15),
+            // then round the 13 dropped mantissa bits: adding 0xFFF plus
+            // the lowest kept bit carries exactly when they exceed half an
+            // ulp, or equal it on an odd mantissa.  A carry out of the
+            // mantissa bumps the exponent, up to infinity.
+            let odd = (abs >> 13) & 1;
+            ((abs - ((127 - 15) << 23) + 0x0FFF + odd) >> 13) as u16
+        };
+        f16(sign | magnitude)
     }
 
     /// Converts a half-precision value to single precision (exact — every
@@ -280,6 +261,32 @@ pub fn decode_to_f32(plane: &[f16]) -> Vec<f32> {
     plane.iter().map(|h| table[h.to_bits() as usize]).collect()
 }
 
+/// Encodes complex binary32 values into planar binary16: the real parts
+/// into `re` and the imaginary parts into `im`, in iteration order.
+///
+/// The single owner of bulk f32→binary16 conversion: every planar f16
+/// operand, whatever its source layout or orientation, is encoded here with
+/// the inlined [`f16::from_f32`](crate::half::f16::from_f32).
+///
+/// # Panics
+///
+/// Panics unless `values` yields exactly `re.len()` values and
+/// `re.len() == im.len()`.
+pub fn encode_to_f16(values: impl IntoIterator<Item = Complex32>, re: &mut [f16], im: &mut [f16]) {
+    assert_eq!(re.len(), im.len(), "binary16 planes differ in length");
+    let mut values = values.into_iter();
+    let mut encoded = 0;
+    for ((r, i), v) in re.iter_mut().zip(im.iter_mut()).zip(values.by_ref()) {
+        *r = f16::from_f32(v.re);
+        *i = f16::from_f32(v.im);
+        encoded += 1;
+    }
+    assert!(
+        encoded == re.len() && values.next().is_none(),
+        "value count differs from the plane length"
+    );
+}
+
 impl From<f32> for f16 {
     fn from(v: f32) -> Self {
         f16::from_f32(v)
@@ -364,6 +371,176 @@ impl Sum for f16 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The exponent-branching conversion `f16::from_f32` replaced: the
+    /// bit-for-bit reference for the branch-free one.
+    fn from_f32_reference(value: f32) -> f16 {
+        let bits = value.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xFF) as i32;
+        let man = bits & 0x007F_FFFF;
+
+        if exp == 0xFF {
+            // Infinity or NaN.
+            return if man == 0 {
+                f16(sign | F16_EXP_MASK)
+            } else {
+                // Preserve a quiet NaN, keep some payload bits.
+                f16(sign | F16_EXP_MASK | 0x0200 | ((man >> 13) as u16 & F16_MAN_MASK))
+            };
+        }
+
+        // Re-bias the exponent: binary32 bias 127, binary16 bias 15.
+        let unbiased = exp - 127;
+        let new_exp = unbiased + 15;
+
+        if new_exp >= 0x1F {
+            // Overflow to infinity.
+            return f16(sign | F16_EXP_MASK);
+        }
+
+        if new_exp <= 0 {
+            // Subnormal or underflow to zero.
+            if new_exp < -10 {
+                return f16(sign);
+            }
+            // Add the implicit leading one and shift into the subnormal range.
+            // value = M · 2^(unbiased − 23); the half subnormal mantissa is
+            // value · 2^24 = M >> (−unbiased − 1).
+            let man = man | 0x0080_0000;
+            let shift = (-unbiased - 1) as u32;
+            let half_val = man >> shift;
+            // Round to nearest even on the bits shifted out.
+            let round_bit = 1u32 << (shift - 1);
+            let rem = man & (round_bit * 2 - 1);
+            let mut result = half_val as u16;
+            if rem > round_bit || (rem == round_bit && (half_val & 1) == 1) {
+                result += 1;
+            }
+            return f16(sign | result);
+        }
+
+        // Normal case.
+        let mut out_exp = new_exp as u16;
+        let mut out_man = (man >> 13) as u16;
+        let rem = man & 0x1FFF;
+        if rem > 0x1000 || (rem == 0x1000 && (out_man & 1) == 1) {
+            out_man += 1;
+            if out_man == 0x0400 {
+                out_man = 0;
+                out_exp += 1;
+                if out_exp >= 0x1F {
+                    return f16(sign | F16_EXP_MASK);
+                }
+            }
+        }
+        f16(sign | (out_exp << 10) | out_man)
+    }
+
+    fn assert_matches_reference(x: f32) {
+        assert_eq!(
+            f16::from_f32(x).to_bits(),
+            from_f32_reference(x).to_bits(),
+            "f32 bits {:#010x}",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn encoder_matches_reference_around_every_rounding_boundary() {
+        // Every binary16 value, the midpoint to its upper neighbour (65520
+        // past MAX, where 0x7C00 stands for 2^16), and one f32 ulp either
+        // side of each, in both signs.
+        let value = |bits: u16| match bits {
+            0x7C00 => 65536.0,
+            _ => f64::from(f16::from_bits(bits).to_f32()),
+        };
+        for bits in 0..0x7C00u16 {
+            let mid = ((value(bits) + value(bits + 1)) / 2.0) as f32;
+            for x in [value(bits) as f32, mid] {
+                for probe in [x.to_bits().saturating_sub(1), x.to_bits(), x.to_bits() + 1] {
+                    assert_matches_reference(f32::from_bits(probe));
+                    assert_matches_reference(-f32::from_bits(probe));
+                }
+            }
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            65520.0,
+            2.0f32.powi(-25),
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        for x in specials {
+            assert_matches_reference(x);
+            assert_matches_reference(-x);
+        }
+        for payload in [1, 0x1FFF, 0x2000, 0x0040_0000, 0x0055_5555, 0x007F_FFFF] {
+            assert_matches_reference(f32::from_bits(0x7F80_0000 | payload));
+            assert_matches_reference(f32::from_bits(0xFF80_0000 | payload));
+        }
+    }
+
+    #[test]
+    fn nan_keeps_quiet_bit_and_top_payload_bits() {
+        let signalling = f32::from_bits(0xFF80_0000 | (0x155 << 13) | 0x1FFF);
+        assert_eq!(f16::from_f32(signalling).to_bits(), 0xFE00 | 0x155);
+    }
+
+    /// Every one of the 2^32 binary32 bit patterns; release builds only,
+    /// where it takes seconds.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn encoder_matches_reference_on_every_f32() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let chunk = (1u64 << 32).div_ceil(threads);
+        let mismatches: u64 = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let end = ((t + 1) * chunk).min(1 << 32);
+                        (t * chunk..end)
+                            .filter(|&b| {
+                                let x = f32::from_bits(b as u32);
+                                f16::from_f32(x).to_bits() != from_f32_reference(x).to_bits()
+                            })
+                            .count() as u64
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(mismatches, 0);
+    }
+
+    #[test]
+    fn bulk_encoder_is_bit_identical_to_scalar_conversion() {
+        let values: Vec<Complex32> = (0..=u16::MAX)
+            .map(|b| {
+                let x = f16::from_bits(b).to_f32();
+                Complex32::new(x * 1.000_1, -x)
+            })
+            .collect();
+        let mut re = vec![f16::ZERO; values.len()];
+        let mut im = vec![f16::ZERO; values.len()];
+        encode_to_f16(values.iter().copied(), &mut re, &mut im);
+        for (v, (r, i)) in values.iter().zip(re.iter().zip(&im)) {
+            assert_eq!(r.to_bits(), f16::from_f32(v.re).to_bits());
+            assert_eq!(i.to_bits(), f16::from_f32(v.im).to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "value count differs")]
+    fn bulk_encoder_rejects_a_short_input() {
+        let mut re = vec![f16::ZERO; 3];
+        let mut im = vec![f16::ZERO; 3];
+        encode_to_f16([Complex32::ONE; 2], &mut re, &mut im);
+    }
 
     #[test]
     fn constants_roundtrip() {
@@ -478,6 +655,12 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn encoder_matches_reference_on_random_bits(bits in any::<u32>()) {
+            let x = f32::from_bits(bits);
+            prop_assert_eq!(f16::from_f32(x).to_bits(), from_f32_reference(x).to_bits());
+        }
+
         #[test]
         fn roundtrip_through_f32_is_identity(bits in any::<u16>()) {
             let h = f16::from_bits(bits);
